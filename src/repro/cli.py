@@ -473,11 +473,10 @@ def build_parser() -> argparse.ArgumentParser:
         description=("Serve campaign points over HTTP: POST /run takes "
                      "the same YAML spec `repro run` takes and streams "
                      "NDJSON points; POST /batch evaluates a JSON list "
-                     "of canonical configs through the batched analytic "
-                     "engine; GET /stats exposes cache-tier and "
-                     "single-flight counters.  Served results share "
-                     "cache entries with the CLI byte for byte "
-                     "(see docs/serving.md)."),
+                     "of canonical configs in one request; GET /stats "
+                     "exposes cache-tier and single-flight counters.  "
+                     "Served results share cache entries with the CLI "
+                     "byte for byte (see docs/serving.md)."),
     )
     from repro.serve.daemon import add_arguments as _add_serve_arguments
     _add_serve_arguments(p)
@@ -490,9 +489,10 @@ def build_parser() -> argparse.ArgumentParser:
                      "cache root and drive it with synthetic clients over "
                      "the §5 grid: cold fill, warm hit-path latency "
                      "percentiles, single-flight dedup under concurrent "
-                     "identical requests, and /batch vs per-request "
-                     "speedup.  --check guards against 2x regressions "
-                     "vs the committed BENCH_serve.json."),
+                     "identical requests, and /batch vs one-config /run "
+                     "round trips.  --check guards against 2x "
+                     "regressions of warm latency/throughput and cold "
+                     "throughput vs the committed BENCH_serve.json."),
     )
     from repro.serve.loadtest import add_arguments as _add_loadtest_arguments
     _add_loadtest_arguments(p)

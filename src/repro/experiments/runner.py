@@ -22,7 +22,7 @@ from repro.cluster.placement import LoadShape
 from repro.core.framework import ExperimentSpec, MonitoringFramework
 from repro.experiments.cache import default_result_cache, model_fingerprint
 from repro.experiments.configs import PAPER_REPETITIONS
-from repro.perfmodel.analytic import analytic_repetitions, analytic_run
+from repro.perfmodel.analytic import analytic_repetitions
 from repro.perfmodel.calibration import DEFAULT_CALIBRATION, Calibration
 
 
@@ -90,7 +90,7 @@ def _run_analytic_cached(
         hit = disk.get(config, fingerprint)
         if hit is not None:
             return hit
-    result = _evaluate_analytic(
+    result = _evaluate_analytic_batched(
         algorithm, n, ranks, shape, repetitions, base_seed, spread,
         jitter, power_cap_w, calib, machine,
     )
@@ -99,19 +99,40 @@ def _run_analytic_cached(
     return result
 
 
+def _energy_sums(node_energy_j: dict) -> tuple[dict, float, float, float]:
+    """One pass over a run's ``node_energy_j``:
+    ``(per-domain, total, package, dram)`` joules.
+
+    Each ``sum`` sees the same values in the same dict order as the
+    :class:`~repro.perfmodel.analytic.AnalyticResult` properties feed
+    theirs (``total_energy_j``, ``domain_energy_j``,
+    ``package_energy_j``, ``dram_energy_j``), so every float is
+    unchanged; only the four extra scans per run are gone.
+    """
+    by_domain: dict[str, list[float]] = {}
+    package: list[float] = []
+    dram: list[float] = []
+    for (_node, domain), joules in node_energy_j.items():
+        by_domain.setdefault(domain, []).append(joules)
+        if domain.startswith("package"):
+            package.append(joules)
+        elif domain.startswith("dram"):
+            dram.append(joules)
+    return ({d: sum(values) for d, values in by_domain.items()},
+            sum(node_energy_j.values()), sum(package), sum(dram))
+
+
 def _aggregate_analytic(
     algorithm: str, n: int, ranks: int, shape: LoadShape,
     repetitions: int, runs: list,
 ) -> ConfigResult:
-    """Fold per-repetition AnalyticResults into one ConfigResult.
-
-    Shared verbatim by the reference loop and the batched evaluator, so
-    the two paths can only diverge in the runs themselves — which the
-    bit-identity tests pin."""
+    """Fold per-repetition AnalyticResults into one ConfigResult."""
     durations = [r.duration for r in runs]
-    domains = sorted({d for r in runs for (_n, d) in r.node_energy_j})
+    sums = [_energy_sums(r.node_energy_j) for r in runs]
+    domains = sorted({d for by_domain, _, _, _ in sums for d in by_domain})
     domain_means = {
-        d: statistics.fmean(r.domain_energy_j(d) for r in runs)
+        d: statistics.fmean(by_domain.get(d, 0)
+                            for by_domain, _, _, _ in sums)
         for d in domains
     }
     return ConfigResult(
@@ -122,30 +143,11 @@ def _aggregate_analytic(
         repetitions=repetitions,
         mean_duration=statistics.fmean(durations),
         stdev_duration=statistics.stdev(durations) if len(runs) > 1 else 0.0,
-        mean_total_j=statistics.fmean(r.total_energy_j for r in runs),
-        mean_package_j=statistics.fmean(r.package_energy_j for r in runs),
-        mean_dram_j=statistics.fmean(r.dram_energy_j for r in runs),
+        mean_total_j=statistics.fmean(total for _, total, _, _ in sums),
+        mean_package_j=statistics.fmean(pkg for _, _, pkg, _ in sums),
+        mean_dram_j=statistics.fmean(dram for _, _, _, dram in sums),
         domain_means_j=domain_means,
     )
-
-
-def _evaluate_analytic(
-    algorithm: str, n: int, ranks: int, shape: LoadShape,
-    repetitions: int, base_seed: int, spread: float, jitter: float,
-    power_cap_w: float | None, calib: Calibration, machine: MachineSpec,
-) -> ConfigResult:
-    runs = [
-        analytic_run(
-            algorithm, n, ranks, shape, machine,
-            calib=calib,
-            seed=base_seed + rep,
-            node_efficiency_spread=spread,
-            fabric_jitter=jitter,
-            power_cap_w=power_cap_w,
-        )
-        for rep in range(repetitions)
-    ]
-    return _aggregate_analytic(algorithm, n, ranks, shape, repetitions, runs)
 
 
 def _evaluate_analytic_batched(
@@ -153,9 +155,10 @@ def _evaluate_analytic_batched(
     repetitions: int, base_seed: int, spread: float, jitter: float,
     power_cap_w: float | None, calib: Calibration, machine: MachineSpec,
 ) -> ConfigResult:
-    """The batched engine: one base evaluation shared by all repetitions
+    """The analytic engine: one base evaluation shared by all repetitions
     (see :func:`repro.perfmodel.analytic.analytic_repetitions`), bitwise
-    equal to :func:`_evaluate_analytic`."""
+    equal to aggregating a loop of per-seed
+    :func:`~repro.perfmodel.analytic.analytic_run` calls."""
     runs = analytic_repetitions(
         algorithm, n, ranks, shape, machine,
         calib=calib,
@@ -186,11 +189,10 @@ def run_analytic_batch(
     ``base_seed``, ``node_efficiency_spread``, ``fabric_jitter``,
     ``power_cap_w`` defaulted identically), so a batch entry and a
     ``run_analytic`` call describe the same cache address and produce
-    the same bytes.  Misses are evaluated by the batched engine — base
-    times shared across a configuration's repetitions, energy priced per
-    occupancy class — which is what makes a ``/batch`` round trip ~an
-    order of magnitude cheaper per configuration than a loop of cold
-    per-request evaluations.  The figure builders and any future
+    the same bytes.  Misses are evaluated by the same engine as
+    :func:`run_analytic` — base times shared across a configuration's
+    repetitions, energy priced per occupancy class; a batch saves only
+    the per-request round trips.  The figure builders and any future
     predictor can feed their whole grid through this one entry point.
 
     ``cache`` overrides the environment-resolved disk cache: any object

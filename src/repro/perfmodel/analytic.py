@@ -39,8 +39,8 @@ from repro.energy.power_model import PackagePower
 from repro.perfmodel.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.perfmodel.timeline import (
     NodeTimeline,
+    layout_occupancies,
     node_timeline,
-    socket_occupancies,
     uniform_run_timelines,
 )
 from repro.solvers.ime.costmodel import ImeCostModel
@@ -356,8 +356,12 @@ def analytic_repetitions(
     """All repetitions of one configuration, batched — bit-identical to
     ``[analytic_run(..., seed=base_seed + rep) for rep in range(reps)]``.
 
-    Two redundancies in the reference loop are shared, neither of which
-    changes a single float:
+    This is the engine behind every cold analytic evaluation
+    (:func:`repro.experiments.runner.run_analytic` and
+    :func:`~repro.experiments.runner.run_analytic_batch`); the
+    per-repetition :func:`analytic_run` loop stays as its reference.  Three
+    redundancies in that loop are shared, none of which changes a
+    single float:
 
     * the per-level numpy arrays (``*_analytic_times``), the cost-model
       message counts, and the power-cap ratio are seed-independent —
@@ -365,7 +369,10 @@ def analytic_repetitions(
     * within a repetition, every node with the same per-socket occupancy
       runs an identical timeline (uniform bulk-synchronous run), so the
       energy integral is evaluated once per occupancy class (one or two
-      classes per layout) and replicated across nodes.
+      classes per layout) and replicated across nodes;
+    * the per-node socket occupancy comes from the layout in closed form
+      (:func:`~repro.perfmodel.timeline.layout_occupancies`) instead of
+      a rank-by-rank :class:`~repro.cluster.placement.Placement` scan.
 
     The seeded draws themselves replay the reference order exactly:
     ``default_rng(base_seed + rep)``, node-efficiency vector first, then
@@ -378,7 +385,7 @@ def analytic_repetitions(
                    else ScalapackCostModel.flops(n))
     dram_bytes_per_node = \
         flops_total * profile.dram_bytes_per_flop / layout.nodes
-    occupancies = socket_occupancies(Placement(layout, machine))
+    occupancies = layout_occupancies(layout, machine)
 
     results = []
     for rep in range(repetitions):

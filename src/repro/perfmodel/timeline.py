@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.cluster.machine import MachineSpec
-from repro.cluster.placement import Placement
+from repro.cluster.placement import Layout, Placement
 from repro.energy.power_model import DramPower, PackagePower
 from repro.energy.rapl import RaplDomain
 
@@ -144,8 +144,9 @@ def node_timeline(
 def socket_occupancies(placement: Placement) -> list[tuple[int, ...]]:
     """Per-node ``(ranks on socket 0, ranks on socket 1, ...)`` tuples.
 
-    Placement-derived and repetition-independent, so batched evaluation
-    computes this once per configuration rather than once per seed.
+    Serves :func:`uniform_run_timelines` and is the reference for
+    :func:`layout_occupancies`, the closed form the analytic engine
+    uses: this scan visits every rank once per (node, socket).
     """
     layout = placement.layout
     n_sockets = placement.machine.sockets_per_node
@@ -154,6 +155,37 @@ def socket_occupancies(placement: Placement) -> list[tuple[int, ...]]:
               for s in range(n_sockets))
         for node_id in range(layout.nodes)
     ]
+
+
+def layout_occupancies(layout: Layout,
+                       machine: MachineSpec) -> list[tuple[int, ...]]:
+    """:func:`socket_occupancies` in closed form, from the layout alone.
+
+    Every full node carries the layout's socket split (padded with idle
+    sockets up to ``machine.sockets_per_node``); a tail node block-fills
+    the sockets in shape order, as :class:`Placement` does.  Raises the
+    same two ``ValueError`` exceptions as ``Placement`` for a layout the
+    machine cannot hold, without materializing one core per rank.
+    """
+    per_socket = layout.ranks_per_socket
+    if max(per_socket) > machine.cores_per_socket:
+        raise ValueError(
+            f"socket split {per_socket} exceeds "
+            f"{machine.cores_per_socket} cores/socket"
+        )
+    if len(per_socket) > machine.sockets_per_node:
+        raise ValueError("layout uses more sockets than the machine has")
+    idle = (0,) * (machine.sockets_per_node - len(per_socket))
+    full_nodes = layout.nodes - (1 if layout.tail_ranks else 0)
+    occupancies = [tuple(per_socket) + idle] * full_nodes
+    if layout.tail_ranks:
+        remaining = layout.tail_ranks
+        tail = []
+        for count in per_socket:
+            tail.append(min(count, remaining))
+            remaining -= tail[-1]
+        occupancies.append(tuple(tail) + idle)
+    return occupancies
 
 
 def uniform_run_timelines(

@@ -16,9 +16,11 @@ stack, each independently testable:
   counters surfaced at ``/stats``;
 * single-flight dedup (:mod:`repro.serve.scheduler`) — concurrent
   identical cold requests coalesce onto one fork-pool computation;
-* batched analytic evaluation (``POST /batch`` →
-  :func:`repro.experiments.runner.run_analytic_batch`) — one vectorized
-  pass over a whole config batch instead of a loop of per-request runs.
+* one analytic engine for every cold point
+  (:func:`repro.perfmodel.analytic.analytic_repetitions`, behind both
+  ``/run`` and ``POST /batch`` →
+  :func:`repro.experiments.runner.run_analytic_batch`) — all
+  repetitions of a configuration evaluated in one call.
 
 The wire format is the repo's canonical one: ``/run`` bodies are the
 same YAML ``repro run`` takes, ``/batch`` configs are the canonical

@@ -15,7 +15,7 @@ repo's existing one, re-served:
   for byte.
 * ``POST /batch`` — a JSON list of canonical analytic config dicts
   (exactly the ``config`` objects ``/run`` echoes); misses are evaluated
-  through the batched analytic engine instead of one loop per request.
+  in the handler, in one pass, by the analytic engine ``/run`` uses.
 * ``GET /stats`` — tier hit/miss/eviction counters, scheduler
   launched/coalesced counts, request counters.
 * ``GET /health`` — liveness plus the calibration/model fingerprints.
@@ -223,6 +223,8 @@ class _Handler(BaseHTTPRequestHandler):
                 # identical concurrent requests coalesce per address.
                 flight = scheduler.submit(address, task,
                                           meta=(config, fingerprint))
+                if flight.cached:  # stored since our miss: a hit after all
+                    row, flight = flight.row, None
             points.append((task, config, address, row, flight))
 
         self.send_response(200)
@@ -317,10 +319,9 @@ class _Handler(BaseHTTPRequestHandler):
             if row is None:
                 misses.append(index)
         if misses:
-            # One vectorized pass over all cold configs: base times are
-            # shared across each config's repetitions and energy priced
-            # per occupancy class — same bytes, far fewer flops than a
-            # loop of per-request evaluations.  The daemon stays the
+            # One pass over all cold configs, in this handler, through
+            # the analytic engine /run's pool workers use — same bytes,
+            # no per-config pool round trip.  The daemon stays the
             # sole cache writer (cache=None inside the batch engine);
             # keys are the sweep-level configs, so /batch results land
             # at the exact addresses /run and ``repro sweep`` use.
@@ -388,6 +389,10 @@ def create_server(host: str = "127.0.0.1", port: int = 0, *,
         config, fingerprint = flight.meta
         tiers.put(config, fingerprint, row)
 
-    scheduler = SingleFlightScheduler(jobs=jobs, store=store)
+    def lookup(meta) -> dict | None:
+        config, fingerprint = meta
+        return tiers.get(config, fingerprint)
+
+    scheduler = SingleFlightScheduler(jobs=jobs, store=store, lookup=lookup)
     return CampaignServer((host, port), tiers=tiers, scheduler=scheduler,
                           compute_timeout_s=compute_timeout_s)

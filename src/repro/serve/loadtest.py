@@ -14,15 +14,17 @@ drives it with synthetic clients through four phases:
   (a fresh seed, so nothing is cached); the scheduler's launched/
   coalesced deltas prove N requests cost one computation.
 * **batch** — a sequence of cold per-request ``/run`` evaluations versus
-  one cold ``/batch`` over equally many fresh configurations; the
-  per-config speedup is the batched analytic engine doing less work,
-  not a measurement artifact (both sides include full HTTP round trips).
+  one cold ``/batch`` over equally many fresh configurations.  Both
+  sides run the same analytic engine, so the ratio prices the
+  per-request path (HTTP round trip, spec parse, pool dispatch) against
+  one in-handler batch; it is reported, not guarded.
 
 The report lands in ``BENCH_serve.json`` (``--write``), one section per
-mode (``full``/``quick``); ``--check`` fails on 2x-style regressions
-against the committed baseline, and always fails if dedup launched more
-than one computation.  Wall-clock timing is the measurand throughout,
-hence the DET allow markers.
+mode (``full``/``quick``); ``--check`` fails on 2x-style regressions of
+the warm hit path and of cold throughput against the committed
+baseline, and always fails if dedup launched more than one computation.
+Wall-clock timing is the measurand throughout, hence the DET allow
+markers.
 """
 
 from __future__ import annotations
@@ -50,6 +52,12 @@ LATENCY_FLOOR_S = 0.005
 #: collapses throughput by >100x.  The guard fires below
 #: min(baseline/2, this).
 THROUGHPUT_FLOOR_RPS = 300.0
+#: cold-throughput guard floor, same form: the cold phase is one ~0.2 s
+#: /run whose configs/s swings ~2x run to run on a shared 2-core host,
+#: while the regression class it guards against (cold points priced by
+#: a per-repetition loop again) runs at ~30-40 configs/s there.  The
+#: guard fires below min(baseline/2, this).
+COLD_THROUGHPUT_FLOOR_CPS = 100.0
 
 #: the §5.1 evaluation grid as a /run body (same spec as configs/paper.yaml)
 PAPER_SPEC = """\
@@ -263,7 +271,7 @@ def _phase_dedup(port: int, clients: int, seed: int) -> dict:
 def _phase_batch(port: int, configs_per_side: int, seed: int) -> dict:
     client = Client(port, timeout=600.0)
     # Per-request side: cold single-task /run requests, sequentially —
-    # each one is a full run_analytic repetition loop in a pool worker.
+    # each one a round trip plus one run_analytic call in a pool worker.
     loop_t0 = time.perf_counter()  # repro: allow[DET001,DET101] -- wall-clock IS the measurand here
     for index in range(configs_per_side):
         config = _fresh_config(index, seed + index)
@@ -346,6 +354,12 @@ def run_loadtest(mode: str = "full", jobs: int = 4,
     }
 
 
+def cold_throughput(section: dict) -> float:
+    """Cold-phase analytic configurations served per second."""
+    cold = section["cold"]
+    return cold["tasks"] / cold["wall_s"] if cold["wall_s"] > 0 else 0.0
+
+
 def check_regression(section: dict, baseline: dict | None) -> list[str]:
     """Hard invariants always; 2x-style guards when a baseline exists."""
     failures = []
@@ -371,8 +385,9 @@ def check_regression(section: dict, baseline: dict | None) -> list[str]:
         ("warm throughput_rps", section["warm"]["throughput_rps"],
          min(baseline["warm"]["throughput_rps"] / REGRESSION_FACTOR,
              THROUGHPUT_FLOOR_RPS), ">="),
-        ("batch per_config_speedup", section["batch"]["per_config_speedup"],
-         baseline["batch"]["per_config_speedup"] / REGRESSION_FACTOR, ">="),
+        ("cold configs_per_s", cold_throughput(section),
+         min(cold_throughput(baseline) / REGRESSION_FACTOR,
+             COLD_THROUGHPUT_FLOOR_CPS), ">="),
     ]
     for label, value, bound, op in checks:
         ok = value <= bound if op == "<=" else value >= bound
@@ -390,7 +405,8 @@ def format_report(report: dict) -> str:
         f"loadtest [{report['mode']}]: {report['requests_total']} requests "
         f"(jobs={report['jobs']})",
         f"  cold : {report['cold']['tasks']} tasks in "
-        f"{report['cold']['wall_s']:.2f}s",
+        f"{report['cold']['wall_s']:.2f}s  "
+        f"{cold_throughput(report):.0f} configs/s",
         f"  warm : {warm['requests']} requests x {warm['threads']} threads  "
         f"p50 {warm['p50_s'] * 1e3:.2f} ms  p99 {warm['p99_s'] * 1e3:.2f} ms  "
         f"{warm['throughput_rps']:.0f} req/s",

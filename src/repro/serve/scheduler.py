@@ -10,8 +10,11 @@ Single-flight dedup: flights are keyed by cache address.  When N
 identical cold requests arrive concurrently, the first creates the
 flight and launches one pool task; the other N-1 join the same flight
 (``coalesced`` counts them) and every waiter is released by the same
-completion.  The cache write-back happens *before* waiters are released,
-so a released waiter re-reading the tiers always hits.
+completion.  The cache write-back happens *before* the flight retires,
+so a released waiter re-reading the tiers always hits — and a request
+whose own cache lookup missed just before that write-back finds the row
+when ``submit`` re-checks the cache under the lock, instead of launching
+a second computation.
 
 Workers run with the disk cache disabled (``REPRO_CACHE_DIR=off`` set in
 the pool initializer): the daemon is the sole writer of its cache root,
@@ -52,7 +55,8 @@ def _worker_run(task) -> dict:
 class Flight:
     """One in-flight computation; N waiters share it."""
 
-    __slots__ = ("address", "meta", "done", "row", "error", "waiters")
+    __slots__ = ("address", "meta", "done", "row", "error", "waiters",
+                 "cached")
 
     def __init__(self, address: str, meta=None):
         self.address = address
@@ -61,6 +65,8 @@ class Flight:
         self.row: dict | None = None
         self.error: BaseException | None = None
         self.waiters = 1
+        #: True when ``submit`` answered from the cache (nothing launched)
+        self.cached = False
 
     def wait(self, timeout: float | None = None) -> dict:
         if not self.done.wait(timeout):
@@ -73,13 +79,17 @@ class Flight:
 class SingleFlightScheduler:
     """Address-keyed single-flight dispatch onto a fork process pool."""
 
-    def __init__(self, jobs: int = 2, store=None):
+    def __init__(self, jobs: int = 2, store=None, lookup=None):
         """``store(flight, row)`` is called exactly once per completed
         flight, before any waiter is released — the daemon passes the
         cache-tier write-back here (``flight.meta`` carries whatever
         context ``submit`` was given, e.g. the (config, fingerprint)
-        pair the tiers key by)."""
+        pair the tiers key by).  ``lookup(meta)`` returns the stored
+        row or ``None``; ``submit`` calls it under the lock before
+        creating a flight, which closes the window between a caller's
+        own cache miss and its ``submit``."""
         self._store = store
+        self._lookup = lookup
         self._lock = threading.Lock()
         self._flights: dict[str, Flight] = {}
         self.launched = 0
@@ -90,7 +100,11 @@ class SingleFlightScheduler:
                               initializer=_worker_init)
 
     def submit(self, address: str, task, meta=None) -> Flight:
-        """Launch (or join) the flight computing ``task``."""
+        """Launch (or join) the flight computing ``task``.
+
+        If the row was stored since the caller's cache miss, the
+        returned flight is already done with ``cached`` set and nothing
+        is launched."""
         with self._lock:
             flight = self._flights.get(address)
             if flight is not None:
@@ -98,6 +112,15 @@ class SingleFlightScheduler:
                 self.coalesced += 1
                 return flight
             flight = Flight(address, meta)
+            # Exact: a flight stores its row before it retires under
+            # this lock, so with no flight in the table any earlier
+            # one's row is already cached (unless evicted since, which
+            # warrants a recompute).
+            row = self._lookup(meta) if self._lookup is not None else None
+            if row is not None:
+                flight.row, flight.cached = row, True
+                flight.done.set()
+                return flight
             self._flights[address] = flight
             self.launched += 1
         self._pool.apply_async(

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.cluster.machine import marconi_a3
+from repro.cluster.machine import marconi_a3, small_test_machine
 from repro.cluster.placement import LoadShape, Placement, layout_for
 from repro.energy.power_model import PackagePower
 from repro.perfmodel.analytic import (
@@ -22,7 +22,13 @@ from repro.perfmodel.calibration import (
     SCALAPACK_PROFILE,
     profile_for,
 )
-from repro.perfmodel.timeline import NodeTimeline, Segment, uniform_run_timelines
+from repro.perfmodel.timeline import (
+    NodeTimeline,
+    Segment,
+    layout_occupancies,
+    socket_occupancies,
+    uniform_run_timelines,
+)
 from repro.solvers.ime.costmodel import ImeCostModel
 
 MACHINE = marconi_a3()
@@ -84,6 +90,51 @@ def test_uniform_run_timelines_split_by_socket_occupancy():
     assert seg.active_cores == (12, 12)
     assert seg.dram_rate[0] == pytest.approx(seg.dram_rate[1])
     assert timelines[0].duration == pytest.approx(1.5)
+
+
+# ------------------------------------------- closed-form socket occupancy
+def _assert_occupancy_matches_placement(ranks_list, machine):
+    for shape in LoadShape:
+        per_node = sum(shape.ranks_per_socket(machine.cores_per_socket))
+        for ranks in ranks_list:
+            layouts = [layout_for(ranks, shape, machine, allow_tail=True)]
+            if ranks % per_node == 0:
+                layouts.append(layout_for(ranks, shape, machine))
+            for layout in layouts:
+                assert layout_occupancies(layout, machine) == \
+                    socket_occupancies(Placement(layout, machine)), layout
+
+
+def test_layout_occupancies_match_placement_scan():
+    """Every rank count below 600 (each tail size of every shape, up to
+    24 nodes) plus the grid's large counts, with and without a tail.
+    The Placement scan is O(nodes x sockets x ranks) per layout, so a
+    sweep of every count up to 3300 would cost minutes."""
+    ranks_list = [*range(1, 600), 1296, 3188, 3299]
+    _assert_occupancy_matches_placement(ranks_list, MACHINE)
+
+
+def test_layout_occupancies_pad_idle_sockets():
+    machine = small_test_machine(sockets_per_node=3, cores_per_socket=4)
+    _assert_occupancy_matches_placement(range(1, 200), machine)
+    layout = layout_for(10, LoadShape.FULL, machine, allow_tail=True)
+    assert layout_occupancies(layout, machine) == [(4, 4, 0), (2, 0, 0)]
+
+
+@pytest.mark.parametrize("layout_machine,machine,message", [
+    (MACHINE, small_test_machine(cores_per_socket=2), "exceeds"),
+    (small_test_machine(sockets_per_node=1, cores_per_socket=24),
+     small_test_machine(sockets_per_node=1, cores_per_socket=24),
+     "more sockets"),
+])
+def test_layout_occupancies_raise_like_placement(layout_machine, machine,
+                                                 message):
+    layout = layout_for(48, LoadShape.FULL, layout_machine)
+    with pytest.raises(ValueError, match=message) as expected:
+        Placement(layout, machine)
+    with pytest.raises(ValueError) as closed_form:
+        layout_occupancies(layout, machine)
+    assert str(closed_form.value) == str(expected.value)
 
 
 # ------------------------------------------------------------ tree geometry

@@ -8,9 +8,12 @@ contract from both sides, plus the serving-layer behaviors (NDJSON
 streaming, single-flight dedup, model pinning, bounded eviction).
 """
 
+import functools
 import http.client
 import json
+import os
 import threading
+import time
 
 import pytest
 
@@ -24,7 +27,18 @@ from repro.experiments.sweep import (
     task_from_config,
 )
 from repro.perfmodel.calibration import DEFAULT_CALIBRATION
+from repro.serve import scheduler as scheduler_mod
 from repro.serve.app import create_server
+
+_real_worker_run = scheduler_mod._worker_run
+
+
+def _gated_worker_run(gate: str, task) -> dict:
+    """A pool task that holds its flight open until ``gate`` exists."""
+    deadline = time.monotonic() + 60.0
+    while not os.path.exists(gate) and time.monotonic() < deadline:
+        time.sleep(0.005)
+    return _real_worker_run(task)
 
 SPEC = """\
 schema: 1
@@ -240,10 +254,22 @@ class TestRunContract:
 
 
 # ------------------------------------------------------------------ dedup
+@pytest.fixture()
+def gate(tmp_path, monkeypatch):
+    """Hold every pool task until the returned path exists.  The pool
+    pickles the patched task by import path, which forked workers
+    resolve in this already-imported module."""
+    path = tmp_path / "release"
+    monkeypatch.setattr(scheduler_mod, "_worker_run",
+                        functools.partial(_gated_worker_run, str(path)))
+    return path
+
+
 class TestSingleFlight:
     CLIENTS = 6
 
-    def test_identical_cold_requests_cost_one_computation(self, server):
+    def test_identical_cold_requests_cost_one_computation(self, gate,
+                                                          server):
         port = port_of(server)
         before = server.scheduler.stats()
         barrier = threading.Barrier(self.CLIENTS)
@@ -263,8 +289,15 @@ class TestSingleFlight:
                    for _ in range(self.CLIENTS)]
         for t in threads:
             t.start()
+        # The one flight stays open until every client has joined it.
+        deadline = time.monotonic() + 60.0
+        while (server.scheduler.stats()["coalesced"] - before["coalesced"]
+               < self.CLIENTS - 1 and time.monotonic() < deadline):
+            time.sleep(0.005)
+        gate.touch()
         for t in threads:
-            t.join()
+            t.join(timeout=120)
+            assert not t.is_alive()
 
         assert errors == []
         assert len(results) == self.CLIENTS
@@ -273,6 +306,56 @@ class TestSingleFlight:
         assert after["coalesced"] - before["coalesced"] == self.CLIENTS - 1
         first = results[0]["result"]
         assert all(p["result"] == first for p in results)
+
+    def test_miss_stored_before_submit_launches_nothing(self, server,
+                                                        monkeypatch):
+        """A handler whose own lookup missed, and which reaches
+        ``submit`` only after an identical flight has stored its row and
+        retired, is answered from the cache by the re-check in
+        ``submit``."""
+        port = port_of(server)
+        before = server.scheduler.stats()
+        real_get = server.tiers.get
+        lock = threading.Lock()
+        calls = []
+        stalled, release = threading.Event(), threading.Event()
+
+        def get(config, fingerprint):
+            row = real_get(config, fingerprint)
+            with lock:
+                calls.append(row)
+                first = len(calls) == 1
+            if first:  # the late handler: miss, then stall before submit
+                stalled.set()
+                release.wait(60.0)
+            return row
+
+        monkeypatch.setattr(server.tiers, "get", get)
+        late = {}
+        thread = threading.Thread(
+            target=lambda: late.update(
+                response=request(port, "POST", "/run", SPEC)))
+        thread.start()
+        assert stalled.wait(60.0)
+        # Meanwhile an identical request computes, stores and retires.
+        status, lines = request(port, "POST", "/run", SPEC)
+        assert status == 200
+        early = next(l for l in lines if l["type"] == "point")
+        assert early["cached"] is False
+        assert server.scheduler.stats()["inflight"] == 0
+        release.set()
+        thread.join(timeout=120)
+        assert not thread.is_alive()
+
+        status, lines = late["response"]
+        assert status == 200
+        point = next(l for l in lines if l["type"] == "point")
+        assert calls[0] is None  # its own lookup really missed
+        assert point["cached"] is True
+        assert point["result"] == early["result"]
+        after = server.scheduler.stats()
+        assert after["launched"] - before["launched"] == 1
+        assert after["coalesced"] == before["coalesced"]
 
 
 # --------------------------------------------------------------- eviction
@@ -306,3 +389,25 @@ class TestBoundedDaemon:
         finally:
             srv.shutdown_all()
             thread.join(timeout=10)
+
+
+# ------------------------------------------------------- loadtest --check
+class TestLoadtestCheck:
+    @staticmethod
+    def section(cold_wall_s):
+        return {
+            "cold": {"tasks": 72, "from_cache": 0, "wall_s": cold_wall_s},
+            "warm": {"hit_fraction": 1.0, "p99_s": 0.001,
+                     "throughput_rps": 2000.0},
+            "dedup": {"clients": 8, "launched": 1},
+        }
+
+    def test_cold_throughput_guard(self):
+        from repro.serve.loadtest import check_regression
+        baseline = self.section(0.25)  # 288 configs/s
+        # Host noise within 2x passes ...
+        assert check_regression(self.section(0.45), baseline) == []
+        # ... a per-repetition-loop engine (~30 configs/s) does not.
+        failures = check_regression(self.section(2.4), baseline)
+        assert len(failures) == 1
+        assert failures[0].startswith("cold configs_per_s")

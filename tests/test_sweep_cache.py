@@ -17,6 +17,8 @@ from repro.experiments.cache import (
 )
 from repro.experiments.runner import (
     ConfigResult,
+    _aggregate_analytic,
+    _energy_sums,
     _run_analytic_cached,
     run_analytic,
 )
@@ -169,8 +171,9 @@ class TestRunnerDiskCache:
 # ----------------------------------------------------- batched evaluation
 class TestBatchedAnalytic:
     """The batched engine's whole point is doing *less work for the same
-    floats*: these tests pin the bit-identity contract the /batch
-    endpoint and the load-test speedup claim both rest on."""
+    floats*: these tests pin it bit for bit to the per-repetition
+    ``analytic_run`` loop it replaced behind ``run_analytic``, ``/run``,
+    ``/batch``, the sweep and the figures."""
 
     GRID = [
         (alg, n, ranks, shape)
@@ -196,6 +199,78 @@ class TestBatchedAnalytic:
                 for rep in range(3)
             ]
             assert batched == loop, (alg, n, ranks, shape)
+
+    @staticmethod
+    def _oracle(alg, n, ranks, shape, repetitions=10, base_seed=0,
+                spread=0.02, jitter=0.02, power_cap_w=None):
+        """The per-repetition reference loop, aggregated."""
+        from repro.perfmodel.analytic import analytic_run
+        runs = [
+            analytic_run(alg, n, ranks, shape, marconi_a3(),
+                         seed=base_seed + rep,
+                         node_efficiency_spread=spread,
+                         fabric_jitter=jitter, power_cap_w=power_cap_w)
+            for rep in range(repetitions)
+        ]
+        return _aggregate_analytic(alg, n, ranks, shape, repetitions, runs)
+
+    def test_run_analytic_rows_equal_the_reference_loop(self, monkeypatch):
+        """Byte-equal served rows over the full §5 grid at ten
+        repetitions, plus power-capped and zero-jitter points."""
+        monkeypatch.setenv("REPRO_CACHE_DIR", "off")
+        _run_analytic_cached.cache_clear()
+        points = [
+            ((t.algorithm, t.n, t.ranks, LoadShape(t.shape_value)), {})
+            for t in paper_tasks()
+        ]
+        points += [
+            ((alg, 17280, 576, shape), {"power_cap_w": cap})
+            for alg in ("ime", "scalapack")
+            for shape in (LoadShape.FULL, LoadShape.HALF_ONE_SOCKET)
+            for cap in (60.0, 100.0)
+        ]
+        points += [
+            ((alg, 8640, ranks, LoadShape.HALF_TWO_SOCKETS),
+             {"spread": 0.0, "jitter": 0.0})
+            for alg in ("ime", "scalapack") for ranks in (144, 1296)
+        ]
+        as_bytes = lambda r: json.dumps(result_to_dict(r),  # noqa: E731
+                                        sort_keys=True)
+        for args, knobs in points:
+            served = run_analytic(
+                *args, repetitions=10, base_seed=0,
+                node_efficiency_spread=knobs.get("spread", 0.02),
+                fabric_jitter=knobs.get("jitter", 0.02),
+                power_cap_w=knobs.get("power_cap_w"))
+            assert as_bytes(served) == as_bytes(self._oracle(*args, **knobs)), \
+                (args, knobs)
+
+    def test_energy_sums_equal_the_result_properties(self):
+        from repro.perfmodel.analytic import analytic_run
+        runs = [
+            analytic_run(alg, 8640, ranks, shape, marconi_a3(), seed=3,
+                         node_efficiency_spread=0.02, fabric_jitter=0.02)
+            for alg in ("ime", "scalapack")
+            for ranks in (144, 1296)
+            for shape in LoadShape
+        ]
+        # Interleaved domains and magnitudes spanning 1e-6..1e12: any
+        # change in summation order would show in the low bits.
+        runs.append(dataclasses.replace(runs[0], node_energy_j={
+            (node, domain): (node + 1) * 10.0 ** ((node * 7 + i) % 19 - 6)
+            / 3.0
+            for node in range(9)
+            for i, domain in enumerate(("dram-1", "package-0", "dram-0",
+                                        "package-1"))
+        }))
+        runs.append(dataclasses.replace(runs[0], node_energy_j={}))
+        for run in runs:
+            by_domain, total, package, dram = _energy_sums(run.node_energy_j)
+            assert total == run.total_energy_j
+            assert package == run.package_energy_j
+            assert dram == run.dram_energy_j
+            domains = {d for (_node, d) in run.node_energy_j}
+            assert by_domain == {d: run.domain_energy_j(d) for d in domains}
 
     def test_run_analytic_batch_matches_per_request_runs(self, monkeypatch):
         from repro.experiments.runner import run_analytic_batch
