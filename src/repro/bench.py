@@ -61,6 +61,9 @@ class BenchPoint:
 #: collective engine the fast path accelerates.  The real-numerics
 #: points keep the end-to-end trajectory honest: there the dense-solver
 #: flops on the critical path bound the achievable speedup.
+#: ``ime-xskel-n1080-p144`` (fast mode only) guards the fused IMe level
+#: loop's wall time, and the sharded CI smoke re-asserts it bit-identical
+#: to a sharded run, which keeps the per-rank generator loop.
 DEFAULT_POINTS: tuple[BenchPoint, ...] = (
     BenchPoint("ime", 1080, 4, quick=True),
     BenchPoint("ime-ft", 1080, 4, quick=True),
@@ -71,6 +74,8 @@ DEFAULT_POINTS: tuple[BenchPoint, ...] = (
     BenchPoint("scalapack", 2160, 16, nb=48, quick=True),
     BenchPoint("scalapack", 4320, 16, nb=48),
     BenchPoint("scalapack-skel", 4320, 16, nb=48),
+    BenchPoint("ime-xskel", 1080, 144, modes=("fast",), quick=True,
+               machine="marconi"),
 )
 
 #: ``repro bench --skeleton``: the paper's largest matrix at Table-1 rank

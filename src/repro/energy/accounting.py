@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import itertools
 
+import numpy as np
+
 
 class ActivityAccountant:
     """Integrates idle + activity power into cumulative energy."""
@@ -59,6 +61,24 @@ class ActivityAccountant:
         if joules < 0:
             raise ValueError(f"negative energy charge: {joules}")
         self._completed_j += joules
+
+    def add_in_order(self, joules) -> None:
+        """Add a sequence of completed-interval or quantum increments,
+        left to right — bitwise what one :meth:`end` or
+        :meth:`add_energy` per increment, in that order, would leave.
+
+        ``numpy.add.accumulate`` adds sequentially (never pairwise), and
+        ``+0.0`` increments leave the running sum unchanged, so callers
+        may pad ragged sequences with zeros.
+        """
+        joules = np.asarray(joules, dtype=float)
+        if not joules.size:
+            return
+        if joules.min() < 0:
+            raise ValueError(f"negative energy increment: {joules.min()}")
+        head = np.array([self._completed_j])
+        self._completed_j = float(
+            np.add.accumulate(np.concatenate((head, joules)))[-1])
 
     def energy_at(self, t: float) -> float:
         """Exact cumulative joules at virtual time ``t`` (≥ boot)."""

@@ -107,23 +107,36 @@ class RaplPackage:
                flop_util, mem_util, incremental_over_spin)
         cached = self._activity_cache.get(key)
         if cached is None:
-            ratio = self.freq_ratio(flop_util, mem_util)
-            occ = self.occupancy_frac
-            watts = self.power.core_active_power(flop_util, mem_util, ratio,
-                                                 occupancy_frac=occ)
-            if incremental_over_spin:
-                p = self.power.params
-                watts = max(
-                    0.0,
-                    watts - self.power.core_active_power(
-                        p.spin_flop_util, p.spin_mem_util, ratio,
-                        occupancy_frac=occ,
-                    ),
-                )
-            cached = self._activity_cache[key] = (watts, ratio)
-        else:
-            watts, ratio = cached
+            cached = self._activity_cache[key] = self.activity_point(
+                flop_util, mem_util, self.active_cores, incremental_over_spin
+            )
+        watts, ratio = cached
         return self.pkg_accountant.begin(watts, t), ratio
+
+    def activity_point(self, flop_util: float, mem_util: float,
+                       active_cores: int,
+                       incremental_over_spin: bool = False
+                       ) -> tuple[float, float]:
+        """``(watts, freq_ratio)`` of a compute segment that begins with
+        ``active_cores`` cores active (itself included) under the current
+        cap and occupancy — the operating point
+        :meth:`begin_core_activity` charges."""
+        ratio = self.power.freq_ratio_for_cap(
+            self.power_cap_w, max(1, active_cores), flop_util, mem_util
+        )
+        occ = self.occupancy_frac
+        watts = self.power.core_active_power(flop_util, mem_util, ratio,
+                                             occupancy_frac=occ)
+        if incremental_over_spin:
+            p = self.power.params
+            watts = max(
+                0.0,
+                watts - self.power.core_active_power(
+                    p.spin_flop_util, p.spin_mem_util, ratio,
+                    occupancy_frac=occ,
+                ),
+            )
+        return watts, ratio
 
     def begin_core_spin(self, t: float) -> int:
         """Open a busy-wait (allocation-lifetime) interval on one core."""

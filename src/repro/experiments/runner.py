@@ -272,8 +272,9 @@ def run_skeleton(
     solver run of the same Job.  The run is deterministic (zero fabric
     jitter / node spread), so one evaluation covers any repetition
     count: ``stdev_duration`` is exactly 0.  ``shards`` > 1 runs the
-    DES space-parallel (:mod:`repro.simmpi.shard`) — same results
-    bit for bit, less wall-clock on multi-core hosts.
+    DES space-parallel (:mod:`repro.simmpi.shard`) — same results bit
+    for bit; every committed measurement has it slower than one process
+    (``shard_speedup`` 0.24–0.69 in ``BENCH_simperf.json``).
     """
     from repro.obs.symbolic import run_skeleton_job
 

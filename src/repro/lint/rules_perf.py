@@ -20,7 +20,9 @@ equivalence testing) carry ``# repro: allow[PERF001]``.
 PERF002 — per-rank Python loops in the fast-engine bodies.
 
 The fast collective/p2p engines (modules whose path names ``fastcoll``
-or ``fastp2p``) exist to collapse O(ranks) per-edge walks into the
+or ``fastp2p``) and the batch compute charge the fused level loop calls
+once per level (``runtime/context``, :class:`~repro.runtime.context.
+LevelCharge`) exist to collapse O(ranks) per-edge walks into the
 per-level aggregate closed forms of :mod:`repro.simmpi.aggregate` — a
 ``for ... in range(size)`` (or any ``range`` bounded by the world
 ``size``) reintroduces exactly the scaling cliff they remove, paying
@@ -42,7 +44,7 @@ RULE = "PERF001"
 RULE_LOOP = "PERF002"
 
 #: path fragments naming the fast engines PERF002 polices
-FAST_ENGINE_MARKERS = ("fastcoll", "fastp2p")
+FAST_ENGINE_MARKERS = ("fastcoll", "fastp2p", "runtime/context")
 
 
 def _outer_call(node: ast.AST, module: ModuleInfo) -> bool:

@@ -52,15 +52,20 @@ on column diagonally dominant systems, which the equivalence tests use.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache, partial
 
 import numpy as np
 
 from repro.cluster.machine import MachineSpec, marconi_a3, small_test_machine
 from repro.cluster.placement import LoadShape, Placement, layout_for
 from repro.core.monitoring import monitored_program
+from repro.memo import register_cache
 from repro.obs.tracer import SpanTracer
 from repro.perfmodel.calibration import profile_for
+from repro.runtime.context import LevelCharge
 from repro.runtime.job import Job, JobResult
+from repro.simmpi.datatypes import payload_nbytes
+from repro.simmpi.fastp2p import fast_level_loop
 from repro.solvers.ime.costmodel import ImeCostModel
 from repro.solvers.scalapack.blockcyclic import (
     global_indices,
@@ -259,6 +264,35 @@ SKELETON_PROGRAMS = {
 
 
 # ------------------------------------------------- exact skeletons
+@register_cache
+@lru_cache(maxsize=2)
+def _ime_level_flops(n: int, size: int) -> np.ndarray:
+    """IMe's per-level flops, one read-only array for every rank (the
+    charge is rank-independent; n floats per rank add up at p = 3188)."""
+    flops = ImeCostModel.level_flops_per_rank(n, size)
+    flops.flags.writeable = False
+    return flops
+
+
+#: wire size of IMe's (ĥ_l, p) pair
+_AUX_NBYTES = payload_nbytes((1.0, 1.0))
+
+
+@dataclass(frozen=True)
+class _ImeLevelStages:
+    """IMe level ``l``'s pipeline stages for :func:`fast_level_loop`: the
+    last-row gather to the master, the 2-float (ĥ_l, p) broadcast, and
+    the n − l float pivot column from its owner."""
+
+    n: int
+    size: int
+
+    def __call__(self, level: int) -> tuple:
+        return (("gather", 0),
+                ("bcast", 0, _AUX_NBYTES),
+                ("bcast", level % self.size, FLOAT_BYTES * (self.n - level)))
+
+
 def ime_exact_skeleton_program(ctx, comm, n: int,
                                options: SymbolicOptions | None = None):
     """IMeP's *complete* communication schedule, no numerics.
@@ -270,6 +304,11 @@ def ime_exact_skeleton_program(ctx, comm, n: int,
     for any input system (IMe's schedule is data-independent).  Only
     ``chunks``/``pivot_per_column`` of ``options`` are ignored: the exact
     skeleton is full-fidelity by construction.
+
+    The level loop runs fused — every level for every rank in one
+    rendezvous (:func:`repro.simmpi.fastp2p.fast_level_loop`) — whenever
+    that gate holds; the per-rank generator loop is the reference it is
+    pinned against, and runs otherwise.
     """
     opts = options or SymbolicOptions()
     rank, size, master = comm.rank, comm.size, 0
@@ -289,13 +328,17 @@ def ime_exact_skeleton_program(ctx, comm, n: int,
         if rank == master and opts.charge_compute:
             yield from ctx.compute(flops=float(n) * n, dram_bytes=8.0 * n * n)
 
-    level_flops = ImeCostModel.level_flops_per_rank(n, size)
+    level_flops = _ime_level_flops(n, size)
     n_local = len(range(rank, n, size))
     m_local = np.zeros(n_local)  # the last-row shard (real array: the
     #                              gather sizes itself off the payloads)
 
     with ctx.span("ime:levels", levels=n):
-        for level in range(n):
+        charge = (partial(LevelCharge, level_flops=level_flops)
+                  if opts.charge_compute else None)
+        fused = yield from fast_level_loop(
+            comm, n, _ImeLevelStages(n, size), m_local, ctx, charge)
+        for level in range(n if not fused else 0):
             owner = level % size
             # (ĥ_l, p) is a 2-float tuple either way; the pivot column's
             # active part is n − level floats, carried by the stage-level

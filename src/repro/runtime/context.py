@@ -10,6 +10,9 @@ The context is how solver code interacts with the simulated hardware:
   segment via the DVFS ratio returned by the RAPL package.
 * ``ctx.papi()`` returns the node-local PAPI library instance (monitoring
   ranks use it; §4's design has exactly one PAPI user per node).
+* :class:`LevelCharge` charges one level's compute segments for many
+  contexts at once — the batch form of ``compute`` that fused level
+  loops (:func:`repro.simmpi.fastp2p.fast_level_loop`) call.
 
 Compute profiles are per-solver calibration: ScaLAPACK's blocked BLAS-3
 kernels sustain a higher effective flop rate and touch DRAM less per flop
@@ -19,8 +22,11 @@ measures (§5.4).
 
 from __future__ import annotations
 
+import heapq
 from contextlib import nullcontext
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.cluster.topology import Core
 from repro.energy.papi import PapiLibrary
@@ -169,3 +175,180 @@ class RankContext:
         t1 = sim.now if sim is not None else (yield NOW)
         pkg.end_core_activity(handle, t1)
         self.compute_seconds += seconds
+
+
+#: floats one :class:`LevelCharge` fold buffer holds before it is folded
+FOLD_BUFFER_FLOATS = 1 << 20
+
+
+class LevelCharge:
+    """A level's compute segments for every rank context, in one step.
+
+    ``level(level, t0, pos)`` charges ``level_flops[level]`` (one value
+    for every rank, or one per rank) to each context from its start time
+    ``t0`` and returns the end times; ``pos`` is each rank's position in
+    the engine's begin order.  Per rank the arithmetic is
+    :meth:`RankContext.compute`'s, elementwise: ``dt = flops /
+    (eff_flops * ratio) / node_efficiency``, ``t1 = t0 + dt``, and the
+    three accumulators fold level by level; :meth:`close` writes them
+    back to the contexts.
+
+    Energy depends on event order twice: a socket's accountants sum
+    increments in end order, and the operating point may depend on how
+    many cores are active when a segment begins.  When every socket's
+    ``(watts, freq_ratio)`` point is the same for every active-core
+    count its ranks can reach (always, uncapped), increments are
+    elementwise, buffered per socket in end order — (end time, begin
+    position) — and folded left to right by
+    :meth:`~repro.energy.accounting.ActivityAccountant.add_in_order`.
+    Otherwise (a binding power cap) every level is replayed one begin or
+    end at a time through the RAPL package, in the same order: begins by
+    position, each end before any later begin and after every begin at
+    its own time.
+    """
+
+    def __init__(self, contexts, level_flops):
+        self._contexts = list(contexts)
+        self._level_flops = np.asarray(level_flops, dtype=float)
+        n = len(self._contexts)
+        pkgs: list = []
+        index: dict[int, int] = {}
+        sock = np.empty(n, dtype=np.intp)
+        for r, ctx in enumerate(self._contexts):
+            s = index.get(id(ctx._pkg))
+            if s is None:
+                s = index[id(ctx._pkg)] = len(pkgs)
+                pkgs.append(ctx._pkg)
+            sock[r] = s
+        self._pkgs = pkgs
+        self._sock = sock
+        profs = [ctx.profile for ctx in self._contexts]
+        self._dbpf = np.array([p.dram_bytes_per_flop for p in profs])
+        self._neff = np.array([ctx.node_efficiency for ctx in self._contexts])
+        self._epb = np.array([pkgs[s].dram_power.params.dram_energy_per_byte
+                              for s in sock.tolist()])
+        self._flops = np.array([c.flops_charged for c in self._contexts])
+        self._dram = np.array([c.dram_bytes_charged for c in self._contexts])
+        self._secs = np.array([c.compute_seconds for c in self._contexts])
+        counts = np.bincount(sock, minlength=len(pkgs))
+        points = self._level_points(profs, counts)
+        self._watts = None
+        if points is not None:
+            watts, ratio = points
+            self._watts = watts
+            eff = np.array([p.eff_flops_per_core for p in profs])
+            self._denom = eff * ratio
+            # Fold buffers: socket-major, one row of `width` per level.
+            order = np.argsort(sock, kind="stable")
+            starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
+            width = int(counts.max())
+            chunk = max(1, min(len(self._level_flops),
+                               FOLD_BUFFER_FLOATS // (len(pkgs) * width)))
+            sorted_sock = sock[order]
+            self._dest = (sorted_sock * (chunk * width)
+                          + np.arange(n) - starts[sorted_sock])
+            self._width = width
+            self._chunk = chunk
+            self._slot = 0
+            self._pkg_buf = np.zeros((len(pkgs), chunk, width))
+            self._dram_buf = np.zeros((len(pkgs), chunk, width))
+
+    def _level_points(self, profs, counts):
+        """Per-rank ``(watts, ratio)`` arrays when each rank's operating
+        point is the same at every active-core count its socket can
+        reach during a level, else ``None``."""
+        n = len(profs)
+        watts = np.empty(n)
+        ratio = np.empty(n)
+        memo: dict = {}
+        for r, prof in enumerate(profs):
+            s = int(self._sock[r])
+            key = (s, prof.flop_util, prof.mem_util)
+            if key not in memo:
+                pkg = self._pkgs[s]
+                base = pkg.active_cores
+                reach = {pkg.activity_point(prof.flop_util, prof.mem_util,
+                                            base + k, True)
+                         for k in range(1, int(counts[s]) + 1)}
+                memo[key] = reach.pop() if len(reach) == 1 else None
+            point = memo[key]
+            if point is None:
+                return None
+            watts[r], ratio[r] = point
+        return watts, ratio
+
+    def level(self, level: int, t0, pos):
+        """Charge level ``level`` from start times ``t0``; returns the
+        per-rank end times."""
+        flops = self._level_flops[level]
+        if np.any(flops < 0):
+            raise ValueError(f"negative flops: {flops}")
+        dram = flops * self._dbpf
+        if self._watts is None:
+            dt, t1 = self._replay_events(flops, dram, t0, pos)
+        else:
+            dt = flops / self._denom / self._neff
+            t1 = t0 + dt
+            order = np.lexsort((pos, t1, self._sock))
+            dest = self._dest + self._slot * self._width
+            self._pkg_buf.reshape(-1)[dest] = (self._watts * (t1 - t0))[order]
+            self._dram_buf.reshape(-1)[dest] = (self._epb * dram)[order]
+            self._slot += 1
+            if self._slot == self._chunk:
+                self._fold()
+        self._flops += flops
+        self._dram += dram
+        self._secs += dt
+        return t1
+
+    def _replay_events(self, flops, dram, t0, pos):
+        """One begin or end at a time through the RAPL packages, in the
+        engine's order (the capped path, and the vector form's oracle)."""
+        contexts = self._contexts
+        flops = np.broadcast_to(flops, t0.shape)
+        dt = np.empty(len(contexts))
+        t1 = np.empty(len(contexts))
+        pending: list = []
+
+        def end(item):
+            stop, _pos, r, handle = item
+            pkg = contexts[r]._pkg
+            pkg.end_core_activity(handle, stop)
+            pkg.charge_dram_traffic(float(dram[r]), float(t0[r]), stop)
+
+        for r in np.argsort(pos).tolist():
+            start = float(t0[r])
+            while pending and pending[0][0] < start:
+                end(heapq.heappop(pending))
+            ctx = contexts[r]
+            prof = ctx.profile
+            handle, ratio = ctx._pkg.begin_core_activity(
+                prof.flop_util, prof.mem_util, start,
+                incremental_over_spin=True,
+            )
+            d = prof.duration(float(flops[r]), ratio) / ctx.node_efficiency
+            dt[r] = d
+            t1[r] = start + d
+            heapq.heappush(pending, (start + d, int(pos[r]), r, handle))
+        while pending:
+            end(heapq.heappop(pending))
+        return dt, t1
+
+    def _fold(self) -> None:
+        used = self._slot * self._width
+        for s, pkg in enumerate(self._pkgs):
+            pkg.pkg_accountant.add_in_order(
+                self._pkg_buf[s].reshape(-1)[:used])
+            pkg.dram_accountant.add_in_order(
+                self._dram_buf[s].reshape(-1)[:used])
+        self._slot = 0
+
+    def close(self) -> None:
+        """Fold what is buffered and write the accumulators back."""
+        if self._watts is not None and self._slot:
+            self._fold()
+        for ctx, f, d, s in zip(self._contexts, self._flops.tolist(),
+                                self._dram.tolist(), self._secs.tolist()):
+            ctx.flops_charged = f
+            ctx.dram_bytes_charged = d
+            ctx.compute_seconds = s

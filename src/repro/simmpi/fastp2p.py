@@ -20,6 +20,11 @@ once and the last entrant replays all stages with the exact
 round trips), so virtual times, traffic counters, and solver values are
 bit-identical to driving the stages one collective at a time.
 
+:func:`fast_level_loop` fuses one step further: a whole level loop of
+such pipelines, each followed by a compute charge, runs as *one*
+rendezvous whose last entrant replays every level for every rank (see
+its docstring for the gate and the event-order contract).
+
 Scope and degradation
 ---------------------
 Flows carry only traffic the closed form can match deterministically:
@@ -58,7 +63,7 @@ from repro.simmpi.datatypes import (
     copy_payload,
     payload_nbytes,
 )
-from repro.simmpi.engine import Park, SleepUntil
+from repro.simmpi.engine import Park, Process, SleepUntil
 from repro.simmpi.errors import CommMismatchError, SimMPIError
 from functools import lru_cache
 
@@ -571,3 +576,227 @@ def fast_pipeline(comm, steps):
     if t > now:
         yield SleepUntil(t)
     return results[rank]
+
+
+# ------------------------------------------------ fused level loops (untraced)
+
+class _LevelRec:
+    """Rendezvous record of a fused level loop (see :func:`fast_level_loop`).
+
+    Created by the first entrant, which also takes the loop's one
+    dynamic gate decision (``fused``) for every rank.
+    """
+
+    __slots__ = ("fused", "entry", "procs", "payloads", "tokens", "shapes",
+                 "remaining")
+
+    def __init__(self, size: int, fused: bool):
+        self.fused = fused
+        self.entry: list = [None] * size
+        self.procs: list = [None] * size
+        self.payloads: list = [None] * size
+        self.tokens: list = [None] * size
+        self.shapes: list = [None] * size
+        self.remaining = size
+
+
+def _quiet_world(sim, size: int) -> bool:
+    """True when the communicator's ranks are every live process and
+    nothing but process resumptions is pending: no observer (a
+    ``PowerTracer`` or ``ExternalMeter`` tick, a mailbox delivery) can
+    read the clock or a RAPL counter while the loop is replayed."""
+    if len(sim._live_processes) != size:
+        return False
+    step = Process._step
+    return all(getattr(fn, "__func__", None) is step
+               for _t, _s, fn, _a in sim._heap)
+
+
+def _wake_parked(slot) -> None:
+    """Resume whichever process parked in ``slots[index]`` — lets the
+    last entrant schedule its own wake at its place in the wake order."""
+    slots, index = slot
+    slots[index]._step(None)
+
+
+def fast_level_loop(comm, levels: int, stages, payload: Any, token: Any,
+                    charge):
+    """Fused execution of ``levels`` pipeline levels, each followed by a
+    compute charge: one park and one wake per rank for the whole loop.
+
+    Bit-identical (virtual times, traffic, energy) to every rank running::
+
+        for level in range(levels):
+            yield from comm.pipeline(...)   # stages(level), results unused
+            yield from ctx.compute(...)     # the level's compute segment
+
+    ``stages(level)`` returns the level's stage tuples, ``("gather",
+    root)`` or ``("bcast", root, nbytes)``; every rank passes equal
+    ``levels`` and ``stages``, and every level has the same number of
+    stages.  ``payload`` is this rank's gather contribution, the same at
+    every level, so the gather wire sizes are computed once.  ``charge``
+    is the caller's per-level compute hook (``None`` for a loop without
+    compute): the last entrant calls ``charge(tokens)`` with every
+    rank's ``token`` in rank order, charges level ``level`` through the
+    returned object's ``level(level, t0, pos)`` — ``t0`` the per-rank
+    start times, ``pos`` each rank's position in the begin order — which
+    returns the per-rank end times, and calls its ``close()`` after the
+    last level.
+
+    Returns ``False``, without yielding, when the loop cannot fuse; the
+    caller then runs its reference loop.  The gate has no knob: the
+    fused pipeline's conditions (:attr:`Simulator.fast_p2p`, no tracer,
+    no sanitizer, no shard runtime); a communicator spanning the whole
+    world with ``size > 1``; and — decided once, by the first entrant,
+    for every rank — the ranks being every live process with nothing
+    but their resumptions pending, so nothing reads the clock or a RAPL
+    counter mid-loop.
+
+    Event order, which keeps the energy sums bitwise: a level's last
+    entrant wakes after every other rank, unless its completion equals
+    its entry time (it then does not yield and begins first).  Compute
+    segments begin in (completion, wake order); each end is scheduled
+    when its segment begins, so ends run in (end time, begin order); at
+    equal times every begin of a level precedes every end of it; the
+    last end is the next level's last entrant.  Ranks finally wake at
+    their last end times in end order.
+    """
+    world = comm.world
+    sim = world.sim
+    size = comm.size
+    if (levels < 1 or not sim.fast_p2p or world.tracer is not None
+            or sim.tracer is not None or world.sanitizer is not None
+            or world.shard is not None or not 1 < size == world.size):
+        return False
+    seq = comm._coll_seq + 1
+    key = (comm.cid, _COLL_TAG_BASE - seq, "levels")
+    colls = world._fast_colls
+    rec = colls.get(key)
+    if rec is None:
+        rec = colls[key] = _LevelRec(size, _quiet_world(sim, size))
+    rec.remaining -= 1
+    if not rec.fused:
+        if not rec.remaining:
+            del colls[key]
+        return False
+    comm._coll_seq += levels * len(stages(0))
+    rank = comm.rank
+    rec.entry[rank] = sim.now
+    rec.payloads[rank] = payload
+    rec.tokens[rank] = token
+    rec.shapes[rank] = (levels, stages)
+    if rec.remaining:
+        yield Park(rec.procs, rank)
+        return True
+    del colls[key]
+    if len(sim._live_processes) != size:
+        raise SimMPIError(
+            "a process was spawned while a fused level loop gathered its "
+            "ranks; spawn observers before the run starts"
+        )
+    final, order = _replay_levels(comm, rec, rank, charge)
+    procs = rec.procs
+    for u in order.tolist():
+        p = procs[u]
+        if p is None:
+            sim.schedule_at(final[u], _wake_parked, (procs, u))
+        else:
+            sim.schedule_at(final[u], p._step, None)
+    yield Park(procs, rank)
+    return True
+
+
+def _replay_levels(comm, rec: _LevelRec, last: int, charge):
+    """Replay every level of a fused level loop; returns the per-rank
+    final times and the order the ranks wake in.
+
+    Stage times come from the aggregate forms when the fabric is
+    stateless and ``size >= aggregate.AGGREGATE_MIN_SIZE``, else from the
+    scalar per-edge replays — the same choice, and the same fabric call
+    order, as :func:`_pipe_times`.  Stage results are discarded, so the
+    vector path copies no payload and fans no result out.
+    """
+    size = comm.size
+    levels, stages = rec.shapes[last]
+    for r, shape in enumerate(rec.shapes):
+        if shape != (levels, stages):
+            raise CommMismatchError(
+                f"fused level loops differ between ranks {last} and {r}: "
+                f"{(levels, stages)} vs {shape}"
+            )
+    nstages = len(stages(0))
+    world = comm.world
+    venv = (aggregate.vector_env(world)
+            if size >= aggregate.AGGREGATE_MIN_SIZE else None)
+    env = _stage_env(comm)
+    nodes = np.asarray(comm._nodes, dtype=np.intp)
+    pbytes = np.fromiter((payload_nbytes(p) for p in rec.payloads),
+                         dtype=np.int64, count=size)
+    #: gather root -> (per-vrank wire sizes, their total over non-roots)
+    wires: dict = {}
+    messages = nbytes = inter_msgs = inter_bytes = 0
+    charger = charge(rec.tokens) if charge is not None else None
+    arange = np.arange(size)
+    entry = np.asarray(rec.entry, dtype=float)
+    pos = arange
+    for level in range(levels):
+        level_stages = stages(level)
+        if len(level_stages) != nstages:
+            raise CommMismatchError(
+                f"fused level loop: level {level} has {len(level_stages)} "
+                f"stages, level 0 has {nstages}"
+            )
+        if venv is None:
+            t = entry.tolist()
+            for st in level_stages:
+                if st[0] == "gather":
+                    t, _res = _gather_stage(comm, env, t, rec.payloads, st[1])
+                elif st[0] == "bcast":
+                    t, _res = _bcast_stage(comm, env, t, None, st[1],
+                                           nbytes=st[2])
+                else:
+                    raise SimMPIError(f"unknown pipeline stage kind {st[0]!r}")
+            t = np.asarray(t, dtype=float)
+        else:
+            t = entry
+            for st in level_stages:
+                kind, root = st[0], st[1]
+                ranks = (arange + root) % size
+                nodes_v = nodes[ranks]
+                if kind == "gather":
+                    if root not in wires:
+                        wire = aggregate.gather_sizes(
+                            size, pbytes[ranks], DEFAULT_OBJECT_BYTES)
+                        wires[root] = (wire, int(wire[1:].sum()))
+                    wire, wire_bytes = wires[root]
+                    compl_v, _arr, inter, ib = aggregate.gather_times(
+                        venv, size, t[ranks], wire, nodes_v)
+                    nbytes += wire_bytes
+                    inter_bytes += ib
+                elif kind == "bcast":
+                    nb = st[2]
+                    compl_v, inter = aggregate.bcast_times(
+                        venv, size, t[ranks], nb, nodes_v)
+                    nbytes += nb * (size - 1)
+                    inter_bytes += nb * inter
+                else:
+                    raise SimMPIError(f"unknown pipeline stage kind {kind!r}")
+                messages += size - 1
+                inter_msgs += inter
+                t = np.empty(size)
+                t[ranks] = compl_v
+        # Begin order: ranks wake in rank order and the last entrant after
+        # them all, or first when its completion is its entry time.
+        wake = arange.copy()
+        wake[last] = size if t[last] > entry[last] else -1
+        pos = np.empty(size, dtype=np.intp)
+        pos[np.lexsort((wake, t))] = arange
+        entry = charger.level(level, t, pos) if charger is not None else t
+        # The last end (latest time, then latest begin) enters next.
+        tied = np.flatnonzero(entry == entry.max())
+        last = int(tied[np.argmax(pos[tied])])
+    if charger is not None:
+        charger.close()
+    if messages and world.track_traffic:
+        world.stats.record_bulk(messages, nbytes, inter_msgs, inter_bytes)
+    return entry.tolist(), np.lexsort((pos, entry))

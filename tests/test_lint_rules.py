@@ -484,6 +484,28 @@ class TestPerf002:
         """, self.IN_SCOPE)
         assert findings == []
 
+    def test_bad_per_rank_loop_in_batch_charge(self):
+        findings = self.lint_at("""
+            def level(self, level, t0, pos):
+                size = len(t0)
+                for r in range(size):
+                    self._contexts[r].compute_seconds += t0[r]
+        """, "src/repro/runtime/context.py")
+        assert rules_of(findings) == ["PERF002"]
+        assert findings[0].line == 4
+
+    def test_good_vector_batch_charge(self):
+        # Elementwise numpy over the deposited contexts, and loops over
+        # the contexts themselves (one pass per job), are the batch form.
+        findings = self.lint_at("""
+            def level(self, level, t0, pos):
+                t1 = t0 + self._level_flops[level] / self._denom
+                for ctx, s in zip(self._contexts, t1.tolist()):
+                    ctx.compute_seconds = s
+                return t1
+        """, "src/repro/runtime/context.py")
+        assert findings == []
+
     def test_good_outside_fast_engines(self):
         findings = self.lint_at("""
             def scatter(size):
