@@ -61,9 +61,10 @@ class BenchPoint:
 #: collective engine the fast path accelerates.  The real-numerics
 #: points keep the end-to-end trajectory honest: there the dense-solver
 #: flops on the critical path bound the achievable speedup.
-#: ``ime-xskel-n1080-p144`` (fast mode only) guards the fused IMe level
-#: loop's wall time, and the sharded CI smoke re-asserts it bit-identical
-#: to a sharded run, which keeps the per-rank generator loop.
+#: ``ime-xskel-n1080-p144`` and ``scalapack-xskel-n1080-p144`` (fast
+#: mode only) guard the fused level loops' wall times, and the sharded CI
+#: smoke re-asserts them bit-identical to sharded runs, which keep the
+#: per-rank generator loops.
 DEFAULT_POINTS: tuple[BenchPoint, ...] = (
     BenchPoint("ime", 1080, 4, quick=True),
     BenchPoint("ime-ft", 1080, 4, quick=True),
@@ -76,6 +77,8 @@ DEFAULT_POINTS: tuple[BenchPoint, ...] = (
     BenchPoint("scalapack-skel", 4320, 16, nb=48),
     BenchPoint("ime-xskel", 1080, 144, modes=("fast",), quick=True,
                machine="marconi"),
+    BenchPoint("scalapack-xskel", 1080, 144, nb=64, modes=("fast",),
+               quick=True, machine="marconi"),
 )
 
 #: ``repro bench --skeleton``: the paper's largest matrix at Table-1 rank

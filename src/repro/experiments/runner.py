@@ -273,8 +273,8 @@ def run_skeleton(
     jitter / node spread), so one evaluation covers any repetition
     count: ``stdev_duration`` is exactly 0.  ``shards`` > 1 runs the
     DES space-parallel (:mod:`repro.simmpi.shard`) — same results bit
-    for bit; every committed measurement has it slower than one process
-    (``shard_speedup`` 0.24–0.69 in ``BENCH_simperf.json``).
+    for bit; every measurement taken has it slower than one process
+    (``shard_speedup`` 0.24–0.69 at n = 34560, p ∈ {144, 1296}).
     """
     from repro.obs.symbolic import run_skeleton_job
 

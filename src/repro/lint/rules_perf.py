@@ -44,7 +44,8 @@ RULE = "PERF001"
 RULE_LOOP = "PERF002"
 
 #: path fragments naming the fast engines PERF002 polices
-FAST_ENGINE_MARKERS = ("fastcoll", "fastp2p", "runtime/context")
+FAST_ENGINE_MARKERS = ("fastcoll", "fastp2p", "runtime/context",
+                       "obs/symbolic")
 
 
 def _outer_call(node: ast.AST, module: ModuleInfo) -> bool:

@@ -47,6 +47,24 @@ matches on *any* input system.  ScaLAPACK's row swaps depend on the
 pivot choices, so its exact skeleton models the no-swap trajectory
 (``piv == j`` at every column) — exactly what the full solver produces
 on column diagonally dominant systems, which the equivalence tests use.
+
+Both exact skeletons run their level loop — IMe's n levels, ScaLAPACK's
+factorize panels — *fused* when the gate of
+:func:`repro.simmpi.fastp2p.fast_level_loop` holds: every rank enters
+once and the last entrant replays every level for every rank.  IMe's
+levels are gather→bcast→bcast pipelines on the world; a ScaLAPACK
+panel is, per column, the pivot chain on the process-row and
+process-column communicators (max-loc allreduce down column ``pck``,
+pivot index along every row, pivot row down column ``pck``), then the
+L11/U12/L21 broadcasts.  The per-level compute charges come from one
+read-only table shared by every rank (:func:`_ime_level_flops`,
+:func:`_scalapack_panel_flops`, summed in the generator loop's float
+order).  Each skeleton's per-rank generator loop stays as the
+reference the fused loop is pinned against (``tests/
+test_level_stepper.py``) and runs whenever the gate does not hold:
+message mode, a tracer, the sanitizer, shards, observers — and for
+ScaLAPACK also a stateful fabric or a binding power cap.  Distribute,
+INITIME and substitution keep their generator code.
 """
 
 from __future__ import annotations
@@ -123,6 +141,8 @@ def ime_skeleton_program(ctx, comm, n: int,
     # INITIME: the table leaves the master once, one shard per slave.
     with ctx.span("ime:initime", n=n, symbolic=True):
         if rank == master:
+            # repro: allow[PERF002] -- the master's own send loop (one
+            # message per slave), a rank program and not a replay
             for dest in range(1, size):
                 yield from comm.send(0, dest=dest, tag=90,
                                      nbytes=shard_bytes)
@@ -358,6 +378,104 @@ def ime_exact_skeleton_program(ctx, comm, n: int,
     return None
 
 
+#: wire sizes of the pivot chain's max-loc candidate (value, row) and of
+#: the pivot row index
+_MAXLOC_NBYTES = payload_nbytes((1.0, 0))
+_PIV_NBYTES = payload_nbytes(0)
+#: the partitions of :func:`fast_level_loop`'s ``subcomms`` — process
+#: rows, process columns
+_ROW, _COL = 0, 1
+
+
+@register_cache
+@lru_cache(maxsize=4)
+def _block_layout(n: int, nb: int, nprow: int, npcol: int):
+    """Global rows owned by each process row and global columns owned by
+    each process column (:func:`global_indices`)."""
+    return (tuple(global_indices(n, nb, i, nprow) for i in range(nprow)),
+            tuple(global_indices(n, nb, c, npcol) for c in range(npcol)))
+
+
+@register_cache
+@lru_cache(maxsize=2)
+def _scalapack_panel_flops(n: int, nb: int, nprow: int,
+                           npcol: int) -> np.ndarray:
+    """Every rank's flops per panel (``npanels × p``, row-major grid
+    ranks), summed term by term in the order the generator loop of
+    :func:`scalapack_exact_skeleton_program` sums them: the pivot
+    column's per-column scale updates, the U12 solve, the trailing
+    GEMM.  One read-only table for every rank."""
+    grows, gcols = _block_layout(n, nb, nprow, npcol)
+    nlrow = np.array([len(g) for g in grows])
+    nlcol = np.array([len(g) for g in gcols])
+    npanels = (n + nb - 1) // nb
+    table = np.zeros((npanels, nprow, npcol))
+    for kblock in range(npanels):
+        k0 = kblock * nb
+        kb = min(nb, n - k0)
+        pck = kblock % npcol
+        prk = kblock % nprow
+        cols = np.arange(k0, k0 + kb)
+        rest = kb - np.arange(kb) - 1
+        # pivot column: one scale update per column, left to right
+        i1 = np.array([np.searchsorted(g, cols, side="right")
+                       for g in grows]).reshape(nprow, kb)
+        terms = np.where(i1 < nlrow[:, None],
+                         2.0 * (nlrow[:, None] - i1) * (rest + 0.5), 0.0)
+        head = np.zeros((nprow, 1))
+        panel = table[kblock]
+        panel[:, pck] = np.add.accumulate(
+            np.concatenate((head, terms), axis=1), axis=1)[:, -1]
+        c_r = np.array([np.searchsorted(g, k0 + kb) for g in gcols])
+        r_b = np.array([np.searchsorted(g, k0 + kb) for g in grows])
+        panel[prk] += np.where(c_r < nlcol,
+                               float(kb) * kb * (nlcol - c_r), 0.0)
+        panel += np.where((r_b < nlrow)[:, None] & (c_r < nlcol)[None, :],
+                          2.0 * (nlrow - r_b)[:, None] * kb
+                          * (nlcol - c_r)[None, :], 0.0)
+    table = table.reshape(npanels, nprow * npcol)
+    table.flags.writeable = False
+    return table
+
+
+@dataclass(frozen=True)
+class _ScalapackPanelStages:
+    """Panel ``kblock``'s collectives for :func:`fast_level_loop`: per
+    column the pivot chain — the max-loc allreduce down process column
+    ``pck``, the pivot index along every process row, the pivot row down
+    column ``pck`` — then L11 along process row ``prk``, U12 down every
+    process column and L21 along every process row."""
+
+    n: int
+    nb: int
+    nprow: int
+    npcol: int
+
+    def __call__(self, kblock: int) -> tuple:
+        nb = self.nb
+        k0 = kblock * nb
+        kb = min(nb, self.n - k0)
+        pck = kblock % self.npcol
+        prk = kblock % self.nprow
+        stages = []
+        for t in range(kb):
+            stages += (("allreduce", _MAXLOC_NBYTES, _COL, pck),
+                       ("bcast", pck, _PIV_NBYTES, _ROW, None),
+                       ("bcast", prk, FLOAT_BYTES * (kb - t), _COL, pck))
+        grows, gcols = _block_layout(self.n, nb, self.nprow, self.npcol)
+        after = k0 + kb
+        u12 = tuple(FLOAT_BYTES * kb
+                    * max(len(g) - int(np.searchsorted(g, after)), 0)
+                    for g in gcols)
+        l21 = tuple(FLOAT_BYTES
+                    * max(len(g) - int(np.searchsorted(g, after)), 0) * kb
+                    for g in grows)
+        stages += (("bcast", pck, FLOAT_BYTES * kb * kb, _ROW, prk),
+                   ("bcast", prk, u12, _COL, None),
+                   ("bcast", pck, l21, _ROW, None))
+        return tuple(stages)
+
+
 def scalapack_exact_skeleton_program(ctx, comm, n: int,
                                      options: SymbolicOptions | None = None):
     """pdgesv's complete communication schedule on the no-swap trajectory.
@@ -370,6 +488,14 @@ def scalapack_exact_skeleton_program(ctx, comm, n: int,
     modeled wire sizes, and the same per-panel flops accumulated in the
     same float order.  ``options.nb`` must match the solver's block
     size; ``chunks``/``pivot_per_column`` are ignored.
+
+    The factorize loop runs fused — every panel's pivot chain and panel
+    broadcasts for every rank in one rendezvous on the process-row and
+    process-column communicators
+    (:func:`repro.simmpi.fastp2p.fast_level_loop`, charging
+    :func:`_scalapack_panel_flops`) — whenever that gate holds; the
+    per-rank generator loop is the reference it is pinned against, and
+    runs otherwise.
     """
     opts = options or SymbolicOptions()
     nb = opts.nb
@@ -400,7 +526,14 @@ def scalapack_exact_skeleton_program(ctx, comm, n: int,
     nlrow, nlcol = len(grows), len(gcols)
 
     with ctx.span("scalapack:factorize", nb=nb):
-        for k0 in range(0, n, nb):
+        charge = (partial(LevelCharge, level_flops=_scalapack_panel_flops(
+                      n, nb, grid.nprow, grid.npcol))
+                  if opts.charge_compute else None)
+        fused = yield from fast_level_loop(
+            comm, (n + nb - 1) // nb,
+            _ScalapackPanelStages(n, nb, grid.nprow, grid.npcol), None, ctx,
+            charge, subcomms=(row_comm, col_comm))
+        for k0 in range(0, n if not fused else 0, nb):
             kb = min(nb, n - k0)
             kblock = k0 // nb
             pck = kblock % grid.npcol

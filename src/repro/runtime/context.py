@@ -32,6 +32,7 @@ from repro.cluster.topology import Core
 from repro.energy.papi import PapiLibrary
 from repro.energy.rapl import RaplNode
 from repro.simmpi.engine import NOW, acquire_delay
+from repro.simmpi.errors import SimMPIError
 
 
 @dataclass(frozen=True)
@@ -65,6 +66,7 @@ class RankContext:
         profile: ComputeProfile,
         node_efficiency: float = 1.0,
         sim=None,
+        packages: tuple = (),
     ):
         if node_efficiency <= 0:
             raise ValueError(f"node_efficiency must be positive: {node_efficiency}")
@@ -78,6 +80,9 @@ class RankContext:
         self._papi = papi
         #: the bound core's RAPL package (fixed for the context's lifetime)
         self._pkg = rapl_node.package(core.socket_id)
+        #: every RAPL package of the job (empty for a context built
+        #: outside :meth:`Job.make_contexts`)
+        self.packages = packages
         self.profile = profile
         #: per-repetition node speed factor (the paper's runs landed on
         #: different node sets each time; this models that variance)
@@ -99,6 +104,15 @@ class RankContext:
 
     def papi(self) -> PapiLibrary:
         return self._papi
+
+    def fixed_operating_point(self) -> bool:
+        """True when every RAPL package of the job runs this context's
+        profile at one :func:`fixed_point` whatever the number of active
+        cores (no binding power cap); False when the packages are not
+        known."""
+        return bool(self.packages) and all(
+            fixed_point(pkg, self.profile, range(1, pkg.n_cores + 1))
+            is not None for pkg in self.packages)
 
     # -------------------------------------------------------------- tracing
     def span(self, name: str, cat: str = "phase", **args):
@@ -177,8 +191,18 @@ class RankContext:
         self.compute_seconds += seconds
 
 
-#: floats one :class:`LevelCharge` fold buffer holds before it is folded
+#: segments one :class:`LevelCharge` fold buffer holds (per row) before it
+#: is folded
 FOLD_BUFFER_FLOATS = 1 << 20
+
+
+def fixed_point(pkg, prof: ComputeProfile, cores):
+    """``pkg``'s one ``(watts, freq_ratio)`` point for a ``prof`` segment
+    beginning at every active-core count in ``cores``, or ``None`` when
+    the point depends on the count (a binding power cap)."""
+    points = {pkg.activity_point(prof.flop_util, prof.mem_util, k, True)
+              for k in cores}
+    return points.pop() if len(points) == 1 else None
 
 
 class LevelCharge:
@@ -191,24 +215,38 @@ class LevelCharge:
     :meth:`RankContext.compute`'s, elementwise: ``dt = flops /
     (eff_flops * ratio) / node_efficiency``, ``t1 = t0 + dt``, and the
     three accumulators fold level by level; :meth:`close` writes them
-    back to the contexts.
+    back to the contexts.  A zero charge is bitwise no segment at all:
+    it adds ``+0.0`` everywhere and ends where it begins.
 
     Energy depends on event order twice: a socket's accountants sum
     increments in end order, and the operating point may depend on how
     many cores are active when a segment begins.  When every socket's
     ``(watts, freq_ratio)`` point is the same for every active-core
     count its ranks can reach (always, uncapped), increments are
-    elementwise, buffered per socket in end order — (end time, begin
-    position) — and folded left to right by
-    :meth:`~repro.energy.accounting.ActivityAccountant.add_in_order`.
-    Otherwise (a binding power cap) every level is replayed one begin or
-    end at a time through the RAPL package, in the same order: begins by
-    position, each end before any later begin and after every begin at
-    its own time.
+    elementwise and each socket's are folded by
+    :meth:`~repro.energy.accounting.ActivityAccountant.add_in_order` in
+    (end time, start time, level, begin position) order — the engine's
+    end order (ends at one time run in the order their segments began),
+    across levels, since one rank's next level may begin and end before
+    another's current one.  Increments are buffered per socket in
+    level-major order and folded once a buffer is full, up to the
+    *frontier*: the earliest time any rank has reached, before which no
+    later level can end.  Otherwise (a binding power cap) every level is
+    replayed one begin or end at a time through the RAPL package, in the
+    same order: begins by position, each end before any later begin and
+    after every begin at its own time.
+
+    ``ordered=False`` says ``pos`` is the engine's begin order only
+    between distinct start times (equal ones are in rank order, and
+    levels are not ordered by the engine's wakes): the fold then checks
+    that segments on a socket with equal start and end times carry
+    equal increments, so that their order changes no bit, and raises
+    :class:`~repro.simmpi.errors.SimMPIError` otherwise.
     """
 
-    def __init__(self, contexts, level_flops):
+    def __init__(self, contexts, level_flops, ordered: bool = True):
         self._contexts = list(contexts)
+        self._ordered = ordered
         self._level_flops = np.asarray(level_flops, dtype=float)
         n = len(self._contexts)
         pkgs: list = []
@@ -247,11 +285,21 @@ class LevelCharge:
             sorted_sock = sock[order]
             self._dest = (sorted_sock * (chunk * width)
                           + np.arange(n) - starts[sorted_sock])
+            self._counts = counts.tolist()
             self._width = width
             self._chunk = chunk
             self._slot = 0
-            self._pkg_buf = np.zeros((len(pkgs), chunk, width))
-            self._dram_buf = np.zeros((len(pkgs), chunk, width))
+            #: rows: end times, start times, package and DRAM increments
+            self._buf = np.zeros((4, len(pkgs), chunk, width))
+            #: per socket, the buffer rows past the last fold's frontier,
+            #: already in fold order
+            self._carry: list = [None] * len(pkgs)
+
+    @property
+    def replays_events(self) -> bool:
+        """True when levels are charged one begin or end at a time (the
+        order-dependent, capped path)."""
+        return self._watts is None
 
     def _level_points(self, profs, counts):
         """Per-rank ``(watts, ratio)`` arrays when each rank's operating
@@ -265,12 +313,10 @@ class LevelCharge:
             s = int(self._sock[r])
             key = (s, prof.flop_util, prof.mem_util)
             if key not in memo:
-                pkg = self._pkgs[s]
-                base = pkg.active_cores
-                reach = {pkg.activity_point(prof.flop_util, prof.mem_util,
-                                            base + k, True)
-                         for k in range(1, int(counts[s]) + 1)}
-                memo[key] = reach.pop() if len(reach) == 1 else None
+                base = self._pkgs[s].active_cores
+                memo[key] = fixed_point(self._pkgs[s], prof,
+                                        range(base + 1,
+                                              base + int(counts[s]) + 1))
             point = memo[key]
             if point is None:
                 return None
@@ -291,11 +337,14 @@ class LevelCharge:
             t1 = t0 + dt
             order = np.lexsort((pos, t1, self._sock))
             dest = self._dest + self._slot * self._width
-            self._pkg_buf.reshape(-1)[dest] = (self._watts * (t1 - t0))[order]
-            self._dram_buf.reshape(-1)[dest] = (self._epb * dram)[order]
+            buf = self._buf.reshape(4, -1)
+            buf[0, dest] = t1[order]
+            buf[1, dest] = t0[order]
+            buf[2, dest] = (self._watts * (t1 - t0))[order]
+            buf[3, dest] = (self._epb * dram)[order]
             self._slot += 1
             if self._slot == self._chunk:
-                self._fold()
+                self._fold(t1.min())
         self._flops += flops
         self._dram += dram
         self._secs += dt
@@ -334,21 +383,59 @@ class LevelCharge:
             end(heapq.heappop(pending))
         return dt, t1
 
-    def _fold(self) -> None:
-        used = self._slot * self._width
+    def _fold(self, frontier: float) -> None:
+        """Fold every buffered increment that ends before ``frontier``,
+        per socket in (end time, start time, level, begin position)
+        order, and carry the rest into the next fold."""
+        slot = self._slot
         for s, pkg in enumerate(self._pkgs):
-            pkg.pkg_accountant.add_in_order(
-                self._pkg_buf[s].reshape(-1)[:used])
-            pkg.dram_accountant.add_in_order(
-                self._dram_buf[s].reshape(-1)[:used])
+            rows = self._buf[:, s, :slot, :self._counts[s]].reshape(4, -1)
+            if self._carry[s] is not None:
+                rows = np.concatenate((self._carry[s], rows), axis=1)
+            ends, starts = rows[0], rows[1]
+            if np.any((ends[1:] < ends[:-1])
+                      | ((ends[1:] == ends[:-1])
+                         & (starts[1:] < starts[:-1]))):
+                # Levels overlap: a stable sort keeps (level, position)
+                # order among equal (end, start) times (carried levels
+                # come first).
+                rows = rows[:, np.lexsort((starts, ends))]
+                ends, starts = rows[0], rows[1]
+            if not self._ordered:
+                _check_ties(rows)
+            cut = int(np.searchsorted(ends, frontier, side="left"))
+            pkg.pkg_accountant.add_in_order(rows[2, :cut])
+            pkg.dram_accountant.add_in_order(rows[3, :cut])
+            # A copy: the buffer is reused for the next levels.
+            self._carry[s] = (rows[:, cut:].copy() if cut < ends.size
+                              else None)
         self._slot = 0
 
     def close(self) -> None:
         """Fold what is buffered and write the accumulators back."""
-        if self._watts is not None and self._slot:
-            self._fold()
+        if self._watts is not None:
+            self._fold(np.inf)
         for ctx, f, d, s in zip(self._contexts, self._flops.tolist(),
                                 self._dram.tolist(), self._secs.tolist()):
             ctx.flops_charged = f
             ctx.dram_bytes_charged = d
             ctx.compute_seconds = s
+
+
+def _check_ties(rows) -> None:
+    """Raise unless the nonzero increments of segments with equal (end,
+    start) times — adjacent in ``rows``, :meth:`LevelCharge._fold`'s
+    sorted buffer rows — are equal: no order among them then changes a
+    bit of the fold (a zero increment adds nothing anywhere)."""
+    ends, starts = rows[0], rows[1]
+    tied = (ends[1:] == ends[:-1]) & (starts[1:] == starts[:-1])
+    if not tied.any():
+        return
+    for inc in rows[2:]:
+        keep = inc != 0
+        e, b, v = ends[keep], starts[keep], inc[keep]
+        if np.any((e[1:] == e[:-1]) & (b[1:] == b[:-1]) & (v[1:] != v[:-1])):
+            raise SimMPIError(
+                "compute segments on one socket start and end at the same "
+                "times with different energy increments; the fused replay "
+                "does not know the engine's order among them")

@@ -162,6 +162,8 @@ class Job:
 
     def make_contexts(self) -> list[RankContext]:
         contexts = []
+        packages = tuple(pkg for node in self.rapl_nodes
+                         for pkg in node.packages)
         for rank in range(self.placement.n_ranks):
             core = self.placement.core_of(rank)
             contexts.append(
@@ -173,6 +175,7 @@ class Job:
                     profile=self.profile,
                     node_efficiency=float(self.node_efficiency[core.node_id]),
                     sim=self.sim,
+                    packages=packages,
                 )
             )
         for ctx in contexts:

@@ -85,7 +85,7 @@ def vector_env(world) -> VecEnv | None:
 
 
 @functools.lru_cache(maxsize=None)
-def _wave_tables(size: int):
+def _wave_tables(size: int, batch: int = 1):
     """Per-size index tables for wave-parallel tree evaluation.
 
     Returns ``(parent, waves)`` where ``parent[v]`` is the binomial
@@ -97,9 +97,26 @@ def _wave_tables(size: int):
     child order (descending sub-tree mask, which for binomial trees is
     also the deepest-subtree-first fold order), so slot-at-a-time
     evaluation reproduces the per-parent send/fold sequences exactly.
+
+    ``batch`` trees of ``size`` ranks evaluate side by side as one flat
+    array, tree ``b``'s virtual rank ``v`` at ``b * size + v``: every
+    table is the single tree's, repeated with offsets (a wave's entries
+    for tree ``b`` follow tree ``b - 1``'s).
     """
     from repro.simmpi.fastcoll import _children_table, _tree
 
+    if batch > 1:
+        parent, waves = _wave_tables(size, 1)
+        trees = np.arange(batch, dtype=np.intp)[:, None]
+
+        def tile(a, stride):
+            return (a[None, :] + trees * stride).ravel()
+
+        return tile(parent, size), tuple(
+            (tile(vr, size),
+             tuple((tile(idx, len(vr)), tile(child, size))
+                   for idx, child in slots))
+            for vr, slots in waves)
     children = _children_table(size)
     parent = np.zeros(size, dtype=np.intp)
     for v in range(1, size):
@@ -130,13 +147,17 @@ def _transfer(venv: VecEnv, nbytes, same_node):
                     venv.inter_lat + nbytes / venv.inter_bw)
 
 
-def bcast_times(venv: VecEnv, size: int, entry_v, nb: int, nodes_v):
+def bcast_times(venv: VecEnv, size: int, entry_v, nb: int, nodes_v,
+                batch: int = 1):
     """Vectorized down-cascade: per-vrank completion times of a bcast.
 
     ``entry_v``/``nodes_v`` are indexed by *virtual* rank (root = vrank
     0).  Returns ``(compl, inter_messages)``: completion times per
     virtual rank and the number of inter-node hops (traffic is uniform
     at ``nb`` bytes over ``size - 1`` hops, so counts aggregate).
+    ``batch`` independent broadcasts of ``size`` ranks each run as one
+    evaluation on flat arrays (tree ``b``'s vrank ``v`` at ``b * size +
+    v``, see :func:`_wave_tables`); the hop count is their total.
 
     Wave ``d`` holds the vranks at tree depth ``d``; readiness is one
     elementwise ``max(entry, arrival) + overhead``, and the per-parent
@@ -144,12 +165,12 @@ def bcast_times(venv: VecEnv, size: int, entry_v, nb: int, nodes_v):
     ``t + ((t + dt) - t)`` round trips as the scalar cascade, evaluated
     in a different (dataflow-equivalent) order.
     """
-    _parent, waves = _wave_tables(size)
+    _parent, waves = _wave_tables(size, batch)
     overhead = venv.ovh + venv.ovh_pb * nb
     ti = venv.intra_lat + nb / venv.intra_bw
     te = venv.inter_lat + nb / venv.inter_bw
-    barr = np.zeros(size)
-    compl = np.empty(size)
+    barr = np.zeros(size * batch)
+    compl = np.empty(size * batch)
     inter = 0
     for d, (vr, slots) in enumerate(waves):
         if d == 0:
@@ -167,20 +188,21 @@ def bcast_times(venv: VecEnv, size: int, entry_v, nb: int, nodes_v):
     return compl, inter
 
 
-def gather_times(venv: VecEnv, size: int, entry_v, nbytes_in, nodes_v):
+def gather_times(venv: VecEnv, size: int, entry_v, nbytes_in, nodes_v,
+                 batch: int = 1):
     """Vectorized up-cascade: per-vrank completion/arrival times.
 
     ``nbytes_in[v]`` is the wire size of the message vrank ``v`` sends
     to its parent (unused for vrank 0); the fold at each parent charges
     ``cpu_overhead(nbytes_in[child])`` per child in deepest-subtree-first
     order, exactly like the scalar cascade.  Returns ``(compl, arrival,
-    inter_messages, inter_bytes)``.
+    inter_messages, inter_bytes)``; ``batch`` as for :func:`bcast_times`.
     """
-    parent, waves = _wave_tables(size)
+    parent, waves = _wave_tables(size, batch)
     nbytes_in = np.asarray(nbytes_in)
     ovh_in = venv.ovh + venv.ovh_pb * nbytes_in
-    arrival = np.zeros(size)
-    compl = np.empty(size)
+    arrival = np.zeros(size * batch)
+    compl = np.empty(size * batch)
     inter_msgs = 0
     inter_bytes = 0
     for d in range(len(waves) - 1, -1, -1):
@@ -211,7 +233,7 @@ def gather_sizes(size: int, pbytes_v, object_bytes: int):
     an order-free exact integer sum, evaluated bottom-up one wave at a
     time.
     """
-    parent, waves = _wave_tables(size)
+    parent, waves = _wave_tables(size, 1)
     out = np.asarray(pbytes_v, dtype=np.int64) + object_bytes
     for d in range(len(waves) - 1, 0, -1):
         vr = waves[d][0]

@@ -334,9 +334,11 @@ class World:
     def comm_world(self) -> "list[Communicator]":
         """Build COMM_WORLD: one communicator handle per rank."""
         cid = next(self._comm_ids)
-        ranks = list(range(self.size))
+        ranks = tuple(range(self.size))
+        nodes = tuple(self.node_of(r) for r in ranks)
         return [
-            Communicator(self, cid, rank=i, group=ranks, parent=None)
+            Communicator(self, cid, rank=i, group=ranks, parent=None,
+                         nodes=nodes)
             for i in range(self.size)
         ]
 
@@ -399,17 +401,22 @@ class Communicator:
         world: World,
         cid: int,
         rank: int,
-        group: list[int],
+        group,
         parent: "Communicator | None",
+        nodes: tuple | None = None,
     ):
         self.world = world
         self.cid = cid
         self.rank = rank
-        self._group = list(group)  # group[i] = world rank of comm rank i
+        #: group[i] = world rank of comm rank i; a tuple every handle of
+        #: the communicator shares (never mutated)
+        self._group = group if type(group) is tuple else tuple(group)
         #: group size (plain attribute — hot on the collective fast path)
         self.size = len(self._group)
         #: node of each comm rank, precomputed (placement is immutable)
-        self._nodes = [world.node_of(g) for g in self._group]
+        #: and shared like ``_group``
+        self._nodes = (nodes if nodes is not None
+                       else tuple(world.node_of(g) for g in self._group))
         self.parent = parent
         self._coll_seq = 0
         self._split_seq = 0
@@ -1056,27 +1063,44 @@ class Communicator:
         self._split_seq += 1
         if color is None:
             return None
-        members = sorted(
-            (k, r) for (c, k, r) in entries if c == color
-        )
-        group = [self._group[r] for (_k, r) in members]
-        new_rank = [r for (_k, r) in members].index(self.rank)
-        reg_key = (self.cid, self._split_seq, color)
-        shared = self.world._split_registry.get(reg_key)
-        if shared is None:
+        # Every rank gathered the same entries: the first to get here
+        # sorts every color's members once, and the handles of one new
+        # communicator share its group and node tuples.
+        reg_key = (self.cid, self._split_seq)
+        split = self.world._split_registry.get(reg_key)
+        if split is None:
+            members: dict = {}
+            for (c, k, r) in entries:
+                if c is not None:
+                    members.setdefault(c, []).append((k, r))
+            split = self.world._split_registry[reg_key] = {
+                c: self._split_entry(sorted(m)) for c, m in members.items()
+            }
+        shared = split[color]
+        if "cid" not in shared:
             if self.world.shard is not None:
                 # Shard workers allocate cids independently; a counter
                 # would diverge across workers, so derive a deterministic
                 # structural cid instead.  cids are only dict keys —
                 # never a modeled quantity — so the reference run's
                 # integer cids and these tuples are interchangeable.
-                shared = {"cid": ("s", self.cid, self._split_seq, color)}
+                shared["cid"] = ("s", self.cid, self._split_seq, color)
             else:
-                shared = {"cid": next(self.world._comm_ids)}
-            self.world._split_registry[reg_key] = shared
+                shared["cid"] = next(self.world._comm_ids)
         return Communicator(
-            self.world, shared["cid"], rank=new_rank, group=group, parent=self
+            self.world, shared["cid"], rank=shared["rank"][self.rank],
+            group=shared["group"], parent=self, nodes=shared["nodes"],
         )
+
+    def _split_entry(self, members: list) -> dict:
+        """One new communicator of a split: its group and node tuples and
+        each member's new rank, from ``(key, rank)`` pairs in order."""
+        ranks = [r for (_k, r) in members]
+        return {
+            "group": tuple(self._group[r] for r in ranks),
+            "nodes": tuple(self._nodes[r] for r in ranks),
+            "rank": {r: i for i, r in enumerate(ranks)},
+        }
 
     @_traced("coll")
     def split_type(self, split_type: str = COMM_TYPE_SHARED,

@@ -82,3 +82,22 @@ def copy_payload(payload: Any) -> Any:
     if isinstance(payload, dict):
         return {k: copy_payload(v) for k, v in payload.items()}
     return payload
+
+
+def _immutable(item: Any) -> bool:
+    """True for immutable values — scalars, strings, ``None`` and tuples
+    of them — which a copy could share instead of rebuilding."""
+    t = type(item)
+    if t is float or t is int or t is str or t is bool or item is None:
+        return True
+    return t is tuple and all(_immutable(x) for x in item)
+
+
+def payload_copier(payload: Any):
+    """A function copying ``payload`` exactly like :func:`copy_payload`,
+    for fanning one value out to many ranks: a list whose items are all
+    immutable is checked once and then copied shallowly."""
+    if type(payload) is list and all(_immutable(x) for x in payload):
+        return list.copy
+    return copy_payload
+

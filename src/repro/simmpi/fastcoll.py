@@ -80,7 +80,11 @@ import numpy as np
 
 from repro.memo import register_cache
 from repro.simmpi import aggregate
-from repro.simmpi.datatypes import copy_payload, payload_nbytes
+from repro.simmpi.datatypes import (
+    copy_payload,
+    payload_copier,
+    payload_nbytes,
+)
 from repro.simmpi.engine import Park, SleepUntil
 from repro.simmpi.errors import CommMismatchError
 
@@ -693,7 +697,8 @@ def _fused_times_vec(comm, rec: _FusedRec, size: int, fold: Callable,
     compl, inter = aggregate.bcast_times(venv, size, red_compl, nb, nodes_v)
     if track:
         world.stats.record_bulk(size - 1, nb * (size - 1), inter, nb * inter)
-    values = [root_payload if v == 0 else copy_payload(root_payload)
+    copy = payload_copier(root_payload)
+    values = [root_payload if v == 0 else copy(root_payload)
               for v in range(size)]
     return compl.tolist(), values
 

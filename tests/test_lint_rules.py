@@ -506,6 +506,29 @@ class TestPerf002:
         """, "src/repro/runtime/context.py")
         assert findings == []
 
+    def test_bad_per_rank_loop_in_flop_table(self):
+        findings = self.lint_at("""
+            def _panel_flops(n, nb, size):
+                table = []
+                for r in range(size):
+                    table.append(_rank_flops(n, nb, r))
+                return table
+        """, "src/repro/obs/symbolic.py")
+        assert rules_of(findings) == ["PERF002"]
+        assert findings[0].line == 4
+
+    def test_good_vector_flop_table(self):
+        # One numpy evaluation per panel over every rank's extents is
+        # the batch form of a fused loop's flop table.
+        findings = self.lint_at("""
+            def _panel_flops(npanels, nlrow, nlcol):
+                table = np.zeros((npanels, len(nlrow), len(nlcol)))
+                for kblock in range(npanels):
+                    table[kblock] += 2.0 * nlrow[:, None] * nlcol[None, :]
+                return table
+        """, "src/repro/obs/symbolic.py")
+        assert findings == []
+
     def test_good_outside_fast_engines(self):
         findings = self.lint_at("""
             def scatter(size):
